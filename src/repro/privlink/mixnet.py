@@ -32,7 +32,7 @@ log, which the attack analyses consume.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -47,6 +47,7 @@ from .crypto import (
 )
 from .identity import KeyPair, KeyRegistry
 from .link import Address, AnonymityService, NodeDirectory, PseudonymServiceBase
+from .replay import CompactReplayStore, SetReplayStore
 from .traffic import TrafficLog
 
 __all__ = [
@@ -67,11 +68,12 @@ class Relay:
     """One mix relay: a key pair, a forwarding engine, a replay cache.
 
     Replay digests are compact 64-bit integers (see
-    :func:`~repro.privlink.crypto.layer_digest`) by default, and the
-    cache is *epoch-bounded*: when it reaches ``replay_cache_limit``
-    entries it is flushed wholesale and :attr:`replay_flushes` is
-    incremented, so long churn runs cannot grow it without limit.  The
-    legacy full-``bytes`` digests remain available via the network's
+    :func:`~repro.privlink.crypto.layer_digest`) by default, held in a
+    :class:`~repro.privlink.replay.CompactReplayStore`.  The cache is
+    *epoch-bounded*: when it reaches ``replay_cache_limit`` entries it is
+    flushed wholesale and :attr:`replay_flushes` is incremented, so long
+    churn runs cannot grow it without limit.  The legacy full-``bytes``
+    digests, in a plain set, remain available via the network's
     ``compact_replay=False`` mode.
     """
 
@@ -82,10 +84,8 @@ class Relay:
         "_network",
         "_replay_cache",
         "_compact_replay",
-        "_cache_limit",
         "forwarded",
         "replays_dropped",
-        "replay_flushes",
         "replay_checked",
     )
 
@@ -103,18 +103,28 @@ class Relay:
         # once — it labels every traffic record the relay touches.
         self.name = f"relay:{relay_id}"
         self._network = network
-        # Holds ints in compact mode, bytes in legacy mode.
-        self._replay_cache: Set[Any] = set()
+        self._replay_cache: Union[CompactReplayStore, SetReplayStore] = (
+            CompactReplayStore(replay_cache_limit)
+            if compact_replay
+            else SetReplayStore(replay_cache_limit)
+        )
         self._compact_replay = compact_replay
-        self._cache_limit = replay_cache_limit
         self.forwarded = 0
         self.replays_dropped = 0
-        self.replay_flushes = 0
         self.replay_checked = 0
+
+    @property
+    def replay_flushes(self) -> int:
+        """Epoch flushes of the replay cache at ``replay_cache_limit``."""
+        return self._replay_cache.flushes
 
     def replay_cache_size(self) -> int:
         """Number of remembered message digests."""
         return len(self._replay_cache)
+
+    def replay_cache_bytes(self) -> int:
+        """Bytes the replay cache holds (see the stores' ``nbytes``)."""
+        return self._replay_cache.nbytes()
 
     def flush_replay_cache(self) -> None:
         """Drop remembered digests.
@@ -141,7 +151,20 @@ class Relay:
         return n * (n - 1) / 2.0**65
 
     def process(self, sealed: Any, arrived_from: str, time: float) -> None:
-        """Strip one layer and act on the routing hint."""
+        """Strip one layer and act on the routing hint.
+
+        A payload this relay cannot open is rejected before the replay
+        check, so it never enters the cache or counts toward a flush.
+        """
+        if not isinstance(sealed, Sealed):
+            raise MixnetError(f"relay {self.relay_id} received a non-onion payload")
+        # Inlined unseal(): this runs once per relay per message.
+        key_pair = self.key_pair
+        if key_pair.private != sealed.public_key:
+            raise MixnetError(
+                f"key {key_pair.private} cannot open layer sealed to "
+                f"{sealed.public_key}"
+            )
         if self._compact_replay:
             # Onions sealed along a cached circuit carry stamped
             # digests; read the stamp directly and fall back to the
@@ -153,24 +176,9 @@ class Relay:
         else:
             digest = message_digest(sealed)
         self.replay_checked += 1
-        cache = self._replay_cache
-        if digest in cache:
+        if not self._replay_cache.remember(digest):
             self.replays_dropped += 1
             return
-        if self._cache_limit is not None and len(cache) >= self._cache_limit:
-            cache.clear()
-            self.replay_flushes += 1
-        cache.add(digest)
-
-        if not isinstance(sealed, Sealed):
-            raise MixnetError(f"relay {self.relay_id} received a non-onion payload")
-        # Inlined unseal(): this runs once per relay per message.
-        key_pair = self.key_pair
-        if key_pair.private != sealed.public_key:
-            raise MixnetError(
-                f"key {key_pair.private} cannot open layer sealed to "
-                f"{sealed.public_key}"
-            )
         hint = sealed.routing_hint
         inner = sealed.payload
         verb = hint[0]
@@ -591,6 +599,10 @@ class MixNetwork:
     def total_replay_flushes(self) -> int:
         """Epoch flushes of replay caches, summed over relays."""
         return sum(relay.replay_flushes for relay in self.relays)
+
+    def total_replay_cache_bytes(self) -> int:
+        """Bytes held by replay caches, summed over relays."""
+        return sum(relay.replay_cache_bytes() for relay in self.relays)
 
 
 _rendezvous_counter = itertools.count(1)

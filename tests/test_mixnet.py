@@ -5,8 +5,10 @@ import pytest
 
 from repro.errors import MixnetError
 from repro.privlink import TrafficLog, make_mixnet_link_layer
+from repro.privlink.crypto import seal
 from repro.privlink.mixnet import MixNetwork
 from repro.privlink.link import NodeDirectory
+from repro.privlink.replay import CompactReplayStore, SetReplayStore
 from repro.sim import Simulator
 
 
@@ -401,3 +403,47 @@ class TestCompactReplayCache:
         sim.run_until(2.0)
         assert node.inbox == ["once"]
         assert network.total_replays_dropped() == 1
+
+    def test_rejected_payloads_never_enter_the_cache(self):
+        sim, layer = _fast_layer(replay_cache_limit=10)
+        relay = layer.network.relays[0]
+        other_key = layer.network.relays[1].key_pair.public
+        for index in range(20):
+            if index % 2:
+                payload = f"not an onion {index}"
+            else:
+                payload = seal(other_key, ("deliver", 1), f"wrong key {index}")
+            with pytest.raises(MixnetError):
+                relay.process(payload, "node:0", 0.0)
+        assert relay.replay_cache_size() == 0
+        assert relay.replay_flushes == 0
+        assert relay.replays_dropped == 0
+
+
+class TestReplayCacheBytes:
+    def test_compact_store_costs_at_most_12_bytes_per_digest(self):
+        rng = np.random.default_rng(0)
+        digests = [int(d) for d in rng.integers(0, 2**64, 50_000, dtype=np.uint64)]
+        fixed = CompactReplayStore(None).nbytes()
+        compact = CompactReplayStore(None)
+        plain = SetReplayStore(None)
+        for digest in digests:
+            compact.remember(digest)
+            plain.remember(digest)
+        assert len(compact) == len(plain) == 50_000
+        assert (compact.nbytes() - fixed) / 50_000 <= 12.0
+        # The plain set of boxed ints it replaces: about 78 B a digest.
+        assert plain.nbytes() / 50_000 > 40.0
+
+    def test_network_total_sums_relays(self):
+        sim, layer = _fast_layer()
+        network = layer.network
+        empty = network.total_replay_cache_bytes()
+        node = _FakeNode()
+        layer.register_node(1, node.receive, lambda: node.online)
+        for index in range(20):
+            layer.send_to_node(0, 1, f"m{index}")
+        sim.run_until(1.0)
+        total = network.total_replay_cache_bytes()
+        assert total == sum(relay.replay_cache_bytes() for relay in network.relays)
+        assert total > empty
