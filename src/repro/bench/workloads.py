@@ -328,7 +328,7 @@ def _prepare_parallel_sweep(mode: str, seed: int) -> Callable[[], Dict[str, Any]
 
 
 # ----------------------------------------------------------------------
-# metric sampling kernels (fast backend vs networkx reference)
+# metric sampling kernels (fast kernels vs networkx reference)
 # ----------------------------------------------------------------------
 
 
@@ -338,7 +338,7 @@ def _prepare_metrics_sample(mode: str, seed: int) -> Callable[[], Dict[str, Any]
     Prepares a 2k-node (4k in full mode) social graph restricted to a
     stationary online set, runs the networkx reference pipeline once
     (untimed relative to the harness; its wall clock is recorded under
-    a ``wall_`` fact), then times the fast-backend pipeline: CSR
+    a ``wall_`` fact), then times the fastgraph pipeline: CSR
     snapshot assembly, one shared component labeling, disconnected
     fraction, sampled normalized path length, and degree histogram.
     Every fast value is checked against the reference — the bench

@@ -710,7 +710,7 @@ class Overlay:
         return self.trust_graph.subgraph(online).copy()
 
     # ------------------------------------------------------------------
-    # fast snapshots (flat-array backend; see docs/metrics.md)
+    # fast snapshots (flat CSR arrays; see docs/metrics.md)
     # ------------------------------------------------------------------
 
     def _ensure_store(self) -> _SnapshotStore:

@@ -46,13 +46,16 @@ def largest_component(graph: nx.Graph) -> List[int]:
     components the one containing the smallest node wins.  Path-length
     estimators index into this list with sampled positions, so the
     ordering is part of the reproducibility contract — the fastgraph
-    backend produces the identical list from its union-find labels.
+    kernels produce the identical list from their union-find labels.
+    Labels need only be mutually orderable (integers or strings).
     """
     if graph.number_of_nodes() == 0:
         return []
-    best = max(
-        nx.connected_components(graph),
-        key=lambda component: (len(component), -min(component)),
+    components = list(nx.connected_components(graph))
+    size = max(len(component) for component in components)
+    best = min(
+        (component for component in components if len(component) == size),
+        key=min,
     )
     return sorted(best)
 

@@ -12,6 +12,8 @@ from repro.analysis import (
     targeted_failure_curve,
 )
 from repro.errors import ExperimentError, GraphError
+from repro.graphs import generate_social_graph
+from repro.graphs.fastgraph import FlatSnapshot
 
 
 class TestTargetedFailure:
@@ -55,6 +57,48 @@ class TestTargetedFailure:
             targeted_failure_curve(graph, fractions=(0.5, 1.0))
         with pytest.raises(GraphError):
             targeted_failure_curve(nx.Graph(), fractions=(0.0,))
+
+
+def _padded(node):
+    """A string label that sorts like the integer it replaces."""
+    return f"n{node:04d}"
+
+
+class TestTargetedFailureLabelPaths:
+    """Integer labels take the flat-snapshot kernels, strings take
+    networkx; both must trace the same curve."""
+
+    @pytest.fixture
+    def graphs(self):
+        graph = generate_social_graph(200, rng=np.random.default_rng(41))
+        return graph, nx.relabel_nodes(graph, _padded)
+
+    @pytest.fixture
+    def conversions(self, monkeypatch):
+        calls = []
+        original = FlatSnapshot.from_networkx.__func__
+
+        def counting(cls, graph):
+            calls.append(graph)
+            return original(cls, graph)
+
+        monkeypatch.setattr(FlatSnapshot, "from_networkx", classmethod(counting))
+        return calls
+
+    @pytest.mark.parametrize("strategy", ["degree", "random"])
+    def test_integer_and_string_labels_agree(self, graphs, conversions, strategy):
+        graph, relabeled = graphs
+        fractions = (0.0, 0.05, 0.1, 0.3, 0.5, 0.7, 0.9)
+        flat = targeted_failure_curve(
+            graph, fractions, strategy=strategy, rng=np.random.default_rng(8)
+        )
+        assert len(conversions) == 1
+        reference = targeted_failure_curve(
+            relabeled, fractions, strategy=strategy, rng=np.random.default_rng(8)
+        )
+        assert len(conversions) == 1
+        assert flat == reference
+        assert flat[-1].disconnected > 0.0
 
 
 class TestArticulationRatio:

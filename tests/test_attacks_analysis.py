@@ -1,6 +1,7 @@
 """Tests for the static coalition analysis."""
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from repro.attacks import (
@@ -8,7 +9,9 @@ from repro.attacks import (
     cut_components,
     is_vertex_cut,
 )
+from repro.attacks.analysis import _remainder_analysis
 from repro.errors import ExperimentError
+from repro.graphs import generate_social_graph
 
 
 @pytest.fixture
@@ -86,3 +89,54 @@ class TestCoalitionExposure:
     def test_id_disclosure_counts_non_members(self, barbell):
         exposure = coalition_exposure(barbell, [0, 1])
         assert exposure.id_disclosure_fraction == 1.0  # only node 2 learned
+
+
+class TestLabelPaths:
+    """Integer labels take the flat-snapshot labeling, strings take
+    networkx; both must give the same answers."""
+
+    @staticmethod
+    def _coalitions(graph):
+        hub = max(graph.nodes(), key=lambda node: (graph.degree(node), -node))
+        leaf = min(graph.nodes(), key=lambda node: (graph.degree(node), node))
+        a, b = sorted(graph.edges())[0]
+        pair_cut = (set(graph[a]) | set(graph[b])) - {a, b}
+        return [
+            [hub],
+            sorted(graph[leaf]),
+            sorted(pair_cut),
+            sorted(graph[hub])[:5],
+            [0, 7, 19, 42],
+        ]
+
+    def test_integer_and_string_labels_agree(self):
+        graph = generate_social_graph(150, rng=np.random.default_rng(23))
+        to_str = {node: f"n{node:04d}" for node in graph.nodes()}
+        to_int = {label: node for node, label in to_str.items()}
+        relabeled = nx.relabel_nodes(graph, to_str)
+        assert _remainder_analysis(graph, set()) is not None
+        assert _remainder_analysis(relabeled, set()) is None
+
+        def back(nodes):
+            return frozenset(to_int[label] for label in nodes)
+
+        cuts = 0
+        for coalition in self._coalitions(graph):
+            named = [to_str[node] for node in coalition]
+            assert is_vertex_cut(graph, coalition) == is_vertex_cut(relabeled, named)
+            assert cut_components(graph, coalition) == [
+                back(component) for component in cut_components(relabeled, named)
+            ]
+            flat = coalition_exposure(graph, coalition)
+            reference = coalition_exposure(relabeled, named)
+            assert flat.coalition == back(reference.coalition)
+            assert flat.known_ids == back(reference.known_ids)
+            assert flat.forms_vertex_cut == reference.forms_vertex_cut
+            assert flat.isolated_pairs == tuple(
+                (to_int[a], to_int[b]) for a, b in reference.isolated_pairs
+            )
+            assert flat.probe_targets == tuple(
+                (to_int[a], to_int[b]) for a, b in reference.probe_targets
+            )
+            cuts += flat.forms_vertex_cut
+        assert cuts >= 2

@@ -29,19 +29,13 @@ from repro.graphs import (
     largest_component,
     normalized_path_length,
 )
-from repro.graphs.fastgraph import (
-    GRAPH_BACKENDS,
-    FlatSnapshot,
-    SnapshotAnalysis,
-    get_graph_backend,
-    resolve_graph_backend,
-    set_graph_backend,
-)
+from repro.graphs.fastgraph import FlatSnapshot, SnapshotAnalysis
 from repro.metrics import MetricsCollector
+from tests.oracles.metrics import ReferenceMetricsCollector, reference_static_churn_metrics
 
 
 def _assert_matches_networkx(graph: nx.Graph, seed: int = 9) -> SnapshotAnalysis:
-    """Assert every metric of ``graph`` is bit-identical across backends."""
+    """Assert every metric of ``graph`` is bit-identical to networkx."""
     analysis = SnapshotAnalysis(FlatSnapshot.from_networkx(graph))
     total = graph.number_of_nodes()
 
@@ -68,40 +62,6 @@ def _assert_matches_networkx(graph: nx.Graph, seed: int = 9) -> SnapshotAnalysis
         # Identical RNG consumption: the streams stay in lockstep.
         assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
     return analysis
-
-
-class TestBackendKnob:
-    def test_default_is_fast(self, monkeypatch):
-        monkeypatch.delenv("REPRO_GRAPH_BACKEND", raising=False)
-        set_graph_backend(None)
-        assert get_graph_backend() == "fast"
-
-    def test_environment_variable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GRAPH_BACKEND", "networkx")
-        set_graph_backend(None)
-        assert get_graph_backend() == "networkx"
-
-    def test_override_beats_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GRAPH_BACKEND", "networkx")
-        set_graph_backend("fast")
-        try:
-            assert get_graph_backend() == "fast"
-        finally:
-            set_graph_backend(None)
-
-    def test_resolve_prefers_explicit_override(self):
-        assert resolve_graph_backend("networkx") == "networkx"
-        assert resolve_graph_backend(None) in GRAPH_BACKENDS
-
-    def test_invalid_names_rejected(self, monkeypatch):
-        with pytest.raises(GraphError):
-            set_graph_backend("igraph")
-        with pytest.raises(GraphError):
-            resolve_graph_backend("igraph")
-        monkeypatch.setenv("REPRO_GRAPH_BACKEND", "bogus")
-        set_graph_backend(None)
-        with pytest.raises(GraphError):
-            get_graph_backend()
 
 
 class TestDifferentialRandomGraphs:
@@ -140,7 +100,7 @@ class TestDifferentialRandomGraphs:
 
     def test_equal_size_component_tiebreak(self):
         # Two components of equal size: the canonical choice is the one
-        # containing the smallest node, in both backends.
+        # containing the smallest node, in both implementations.
         graph = nx.Graph()
         graph.add_edges_from([(5, 6), (6, 7), (1, 2), (2, 3)])
         analysis = _assert_matches_networkx(graph)
@@ -223,7 +183,7 @@ class TestSingleLabelingPass:
         monkeypatch.setattr(SnapshotAnalysis, "_ensure_labels", counting)
         overlay = Overlay.build(small_trust_graph, config, with_churn=False)
         collector = MetricsCollector(
-            overlay, path_length_every=1, path_length_sources=4, backend="fast"
+            overlay, path_length_every=1, path_length_sources=4
         )
         overlay.start()
         collector.start()
@@ -304,25 +264,28 @@ class TestOverlayIncrementalStore:
 
 
 class TestCollectorBackendEquivalence:
-    def _series(self, backend: str):
+    """The collector against the networkx reference sampler."""
+
+    def _series(self, collector_class=MetricsCollector):
         graph = generate_social_graph(50, rng=np.random.default_rng(31))
         config = SystemConfig(num_nodes=50, seed=13, availability=0.6)
         overlay = Overlay.build(graph, config, with_churn=True)
-        collector = MetricsCollector(
+        rng = overlay.substream("collector")
+        collector = collector_class(
             overlay,
             path_length_every=2,
             path_length_sources=6,
-            rng=overlay.substream("collector"),
-            backend=backend,
+            rng=rng,
         )
         overlay.start()
         collector.start()
         overlay.run_until(15.0)
-        return collector
+        return collector, rng
 
     def test_series_byte_identical_across_backends(self):
-        fast = self._series("fast")
-        reference = self._series("networkx")
+        fast, fast_rng = self._series()
+        reference, ref_rng = self._series(ReferenceMetricsCollector)
+        assert len(fast.path_length) > 0
         for name in (
             "disconnected",
             "trust_disconnected",
@@ -338,9 +301,11 @@ class TestCollectorBackendEquivalence:
             assert list(fast_series.values) == list(ref_series.values), name
         assert fast.max_out_degrees() == reference.max_out_degrees()
         assert fast.max_out_degree == reference.max_out_degree
+        # Identical source-sampling draws: the streams end in lockstep.
+        assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_max_out_degrees_covers_every_node(self):
-        fast = self._series("fast")
+        fast, _ = self._series()
         assert len(fast.max_out_degrees()) == 50
         assert sorted(fast.max_out_degree) == list(range(50))
 
@@ -348,13 +313,37 @@ class TestCollectorBackendEquivalence:
 class TestStaticChurnBackends:
     def test_static_metrics_identical_across_backends(self):
         graph = generate_social_graph(120, rng=np.random.default_rng(17))
-        fast = static_churn_metrics(
-            graph, 0.5, 5, np.random.default_rng(3), path_sources=8, backend="fast"
-        )
-        reference = static_churn_metrics(
-            graph, 0.5, 5, np.random.default_rng(3), path_sources=8, backend="networkx"
+        fast_rng = np.random.default_rng(3)
+        ref_rng = np.random.default_rng(3)
+        fast = static_churn_metrics(graph, 0.5, 5, fast_rng, path_sources=8)
+        reference = reference_static_churn_metrics(
+            graph, 0.5, 5, ref_rng, path_sources=8
         )
         assert fast == reference
+        assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            # A star whose centre is 10 and whose leaves are 1..9: a
+            # label-indexed draw mask silently dropped the centre
+            # (disconnected 0.889 instead of 0.0).
+            nx.relabel_nodes(nx.star_graph(9), {0: 10}),
+            nx.relabel_nodes(nx.path_graph(4), str),
+        ],
+        ids=["star-centre-10", "string-labels"],
+    )
+    def test_rejects_graph_not_labeled_zero_to_n_minus_one(self, graph):
+        with pytest.raises(GraphError):
+            static_churn_metrics(graph, 1.0, 1, np.random.default_rng(0))
+
+    def test_accepts_shuffled_zero_to_n_minus_one_labels(self):
+        graph = nx.relabel_nodes(nx.star_graph(9), {0: 9, 9: 0})
+        metrics = static_churn_metrics(
+            graph, 1.0, 1, np.random.default_rng(0), measure_paths=False
+        )
+        assert metrics.disconnected == 0.0
+        assert metrics.mean_online_degree == 1.8
 
 
 class TestLintCleanliness:
